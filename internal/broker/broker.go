@@ -493,9 +493,12 @@ type partition struct {
 // append stamps and stores records, returning the base offset, and
 // enforces the retention cap.
 func (p *partition) append(recs []Record, clock func() time.Time) int64 {
-	now := clock()
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	// Read the clock under the lock: offset order is decided here, so a
+	// stamp taken before it could let a later offset carry an earlier
+	// LogAppendTime when producers race.
+	now := clock()
 	base := p.start + int64(len(p.recs))
 	for i, r := range recs {
 		r.Partition = p.id

@@ -659,3 +659,46 @@ func TestClusterTopicAdminRouting(t *testing.T) {
 		return errors.Is(err, ErrUnknownTopic)
 	}, "topic deletion to reach followers")
 }
+
+// TestClusterFetcherWaitsForLeaderLink pins the cluster start-up order
+// brokerd can produce: a follower receives its first view before
+// SetPeer has wired in the leader's link. The follower's fetcher must
+// keep re-resolving the link rather than snapshot the missing one, and
+// catch up once SetPeer lands. The fixed fetcher passes whatever the
+// timing; the pause before SetPeer only lets a fetcher that snapshots
+// its link at start-up reach that snapshot first, so the old bug shows.
+func TestClusterFetcherWaitsForLeaderLink(t *testing.T) {
+	nodes := make([]*Node, 2)
+	for i := range nodes {
+		n, err := NewNode(NodeConfig{ID: i, AckTimeout: 2 * time.Second, ReplicaPoll: 200 * time.Microsecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(n.Close)
+		nodes[i] = n
+	}
+	leader, follower := nodes[0], nodes[1]
+	view := ClusterView{
+		Version:    1,
+		Members:    []int{0, 1},
+		Partitions: map[string][]PartitionState{"t": {{Leader: 0, Epoch: 1, Replicas: []int{0, 1}, ISR: []int{0}}}},
+	}
+	for _, n := range nodes {
+		if err := n.PushView(view); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := leader.Produce("t", 0, []Record{{Value: []byte("a")}, {Value: []byte("b")}}); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(20 * time.Millisecond)
+	tp := TopicPartition{Topic: "t", Partition: 0}
+	if end, err := follower.LogEnd(tp); err != nil || end != 0 {
+		t.Fatalf("follower without a leader link replicated: end %d, %v", end, err)
+	}
+	follower.SetPeer(0, leader)
+	waitUntil(t, 2*time.Second, func() bool {
+		end, err := follower.LogEnd(tp)
+		return err == nil && end == 2
+	}, "follower catch-up once the leader link exists")
+}

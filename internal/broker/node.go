@@ -419,12 +419,18 @@ func (n *Node) reconcileFetchersLocked() {
 // the controller's next view push retargets or stops the loop.
 func (n *Node) runFetcher(tp TopicPartition, target fetchTarget, stop chan struct{}) {
 	defer n.wg.Done()
-	link := n.peerLink(target.leader)
+	var link ClusterPeer
 	for {
 		select {
 		case <-stop:
 			return
 		default:
+		}
+		if link == nil {
+			// Re-resolve until the leader's link exists: under brokerd
+			// -cluster a follower can receive the controller's view
+			// before its own SetPeer for the leader has run.
+			link = n.peerLink(target.leader)
 		}
 		if link == nil {
 			if !n.fetchWait(stop) {

@@ -45,20 +45,31 @@ type DataBatch struct {
 func (b *DataBatch) Created() time.Time { return time.Unix(0, b.CreatedNanos) }
 
 // MarshalJSONBatch serialises the batch with the pipeline's default codec.
+// The bytes are exactly json.Marshal's (jsonbatch.go), written in one
+// sized append pass.
 func MarshalJSONBatch(b *DataBatch) ([]byte, error) {
-	return json.Marshal(b)
+	if b == nil {
+		return []byte("null"), nil
+	}
+	buf := make([]byte, 0, jsonBatchHeaderMax+jsonFloatEstimate*(len(b.Inputs)+len(b.Predictions)))
+	return appendJSONBatch(buf, b)
 }
 
-// UnmarshalJSONBatch parses a batch serialised by MarshalJSONBatch.
+// UnmarshalJSONBatch parses a batch serialised by MarshalJSONBatch. The
+// encoder's own layout is scanned directly; any other input goes to
+// json.Unmarshal, so what is accepted, and how, matches encoding/json.
 func UnmarshalJSONBatch(data []byte) (*DataBatch, error) {
-	var b DataBatch
-	if err := json.Unmarshal(data, &b); err != nil {
-		return nil, fmt.Errorf("core: batch decode: %w", err)
+	b, ok := decodeJSONBatch(data)
+	if !ok {
+		b = new(DataBatch)
+		if err := json.Unmarshal(data, b); err != nil {
+			return nil, fmt.Errorf("core: batch decode: %w", err)
+		}
 	}
 	if b.Count <= 0 {
 		return nil, fmt.Errorf("core: batch %d has non-positive count %d", b.ID, b.Count)
 	}
-	return &b, nil
+	return b, nil
 }
 
 // BatchCodec is the serialisation used between pipeline components.

@@ -18,6 +18,11 @@
 # reference at the same shape (attention_fused_speedup), and the
 # compiled transformer plan's steady-state cost is booked as
 # transformer_ns_op (docs/PERFORMANCE.md "Fused transformer kernels").
+# The codec pair pins the pipeline-codec claim: one encode plus decode of
+# the paper's 784-float record through the JSON codec must run at least
+# 1.8x encoding/json's reflection path (json_codec_speedup), with the
+# codec's allocs/op booked as json_codec_allocs_op (docs/PERFORMANCE.md
+# "Pipeline codec").
 #
 #   BENCHTIME   per-benchmark budget (default 1s; check.sh passes 50x)
 #   OUT         output path (default BENCH_inference.json)
@@ -28,8 +33,8 @@ BENCHTIME="${BENCHTIME:-1s}"
 OUT="${OUT:-BENCH_inference.json}"
 
 go test -run NONE -benchmem -benchtime "$BENCHTIME" \
-	-bench 'MatMulBlocked128|QMatMul$|Conv2D$|Conv2DInto$|ConvDirectVsWinograd|PlanForward|QPlanAgreement$|UnplannedForward|ScoreResNet|ScoreFFNN|ScoreBatchedVsUnbatched|ServerCapacitySweep$|BrokerFailover$|AttentionFusedVsUnfused' \
-	./internal/tensor/ ./internal/model/ ./internal/serving/embedded/ ./internal/serving/external/ . \
+	-bench 'MatMulBlocked128|QMatMul$|Conv2D$|Conv2DInto$|ConvDirectVsWinograd|PlanForward|QPlanAgreement$|UnplannedForward|ScoreResNet|ScoreFFNN|ScoreBatchedVsUnbatched|ServerCapacitySweep$|BrokerFailover$|AttentionFusedVsUnfused|JSONCodecRoundTrip' \
+	./internal/tensor/ ./internal/model/ ./internal/serving/embedded/ ./internal/serving/external/ ./internal/core/ . \
 	| awk -v benchtime="$BENCHTIME" '
 	/^pkg:/ { pkg = $2 }
 	/^Benchmark/ && /ns\/op/ {
@@ -53,6 +58,8 @@ go test -run NONE -benchmem -benchtime "$BENCHTIME" \
 		if (name ~ /AttentionFusedVsUnfused\/fused$/)     { afns = ns }
 		if (name ~ /AttentionFusedVsUnfused\/unfused$/)   { auns = ns }
 		if (name ~ /PlanForwardTransformer$/)             { tns = ns }
+		if (name ~ /JSONCodecRoundTrip\/stdlib$/)         { jsns = ns }
+		if (name ~ /JSONCodecRoundTrip\/codec$/)          { jcns = ns; jca = allocs }
 	}
 	END {
 		printf "\n  ],\n"
@@ -85,6 +92,13 @@ go test -run NONE -benchmem -benchtime "$BENCHTIME" \
 		if (tns > 0) {
 			printf "  \"transformer_ns_op\": %s,\n", tns
 		}
+		# The pipeline-codec claim (docs/PERFORMANCE.md): the reflection
+		# round trip of encoding/json vs the JSON codec on the same record
+		# (contract: >= 1.8x), plus the codec allocs/op.
+		if (jsns > 0 && jcns > 0) {
+			printf "  \"json_codec_speedup\": %.2f,\n", jsns / jcns
+			printf "  \"json_codec_allocs_op\": %s,\n", jca
+		}
 		# The server scenario capacity (highest offered Poisson rate
 		# meeting the p99 bound; docs/SCENARIOS.md).
 		if (cap > 0) {
@@ -103,4 +117,4 @@ go test -run NONE -benchmem -benchtime "$BENCHTIME" \
 	' >"$OUT"
 
 echo "wrote $OUT"
-grep -E "scorer_(bytes|speed)_ratio|int8_(speedup_ratio|top1_delta)|attention_fused_speedup" "$OUT" || true
+grep -E "scorer_(bytes|speed)_ratio|int8_(speedup_ratio|top1_delta)|attention_fused_speedup|json_codec_(speedup|allocs_op)" "$OUT" || true

@@ -56,8 +56,12 @@ go test -race -count=1 \
 # in-process and again over real TCP with torn-frame chaos. Replication
 # is all cross-goroutine (fetchers, ack waiters, the controller sweep),
 # so this runs race-enabled and by name; the clustertest binary also
-# leak-checks every node, server, and client join.
-go test -race -count=1 -run 'TestCluster' ./internal/broker/ ./internal/broker/clustertest/
+# leak-checks every node, server, and client join. The same line covers
+# two start-up and append orderings: brokerd -cluster, whose followers
+# can see a view before their leader link exists, and concurrent
+# producers, whose LogAppendTimes must follow offset order.
+go test -race -count=1 -run 'TestCluster|TestStartClusterSmoke|TestOffsetsMonotonicProperty' \
+	./internal/broker/ ./internal/broker/clustertest/ ./cmd/brokerd/
 go test -race ./...
 CRAYFISH_BENCH_SCALE=0.05 go test -run NONE -bench . -benchtime=1x .
 # Inference microbenchmarks at smoke scale: validates the harness and the
