@@ -46,11 +46,15 @@ func run() {
 	if shape == nil {
 		fatalf("unknown model %q", *modelN)
 	}
+	load := crayfish.LoadPolicy{Process: crayfish.LoadSaturate}
+	if *rate > 0 {
+		load = crayfish.LoadPolicy{Process: crayfish.LoadConstant, Rate: *rate}
+	}
 	cfg := crayfish.Config{
 		Workload: crayfish.Workload{
 			InputShape:  shape,
 			BatchSize:   *bsz,
-			InputRate:   *rate,
+			Load:        &load,
 			Duration:    *duration,
 			Seed:        *seed,
 			DatasetPath: *dataset,

@@ -13,7 +13,7 @@
 //		Workload: crayfish.Workload{
 //			InputShape: []int{28, 28},
 //			BatchSize:  1,
-//			InputRate:  500,
+//			Load:       &crayfish.LoadPolicy{Process: crayfish.LoadConstant, Rate: 500},
 //			Duration:   2 * time.Second,
 //		},
 //		Engine:  "flink",

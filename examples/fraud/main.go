@@ -46,7 +46,7 @@ func main() {
 
 	// Step 1: probe the sustainable throughput with an open-loop run.
 	probe := baseCfg
-	probe.Workload.InputRate = 50_000
+	probe.Workload.Load = &crayfish.LoadPolicy{Process: crayfish.LoadConstant, Rate: 50_000}
 	probe.Workload.Duration = 2 * time.Second
 	res, err := crayfish.Run(probe)
 	if err != nil {
@@ -60,12 +60,16 @@ func main() {
 	// rate, quiet periods at 70%, three cycles. The run uses a shared
 	// broker so a monitoring consumer can window the scored stream
 	// while the pipeline runs.
+	const bd, tbb = 1500 * time.Millisecond, 6 * time.Second
 	attack := baseCfg
-	attack.Workload.Bursty = true
-	attack.Workload.BurstDuration = 1500 * time.Millisecond
-	attack.Workload.TimeBetweenBursts = 6 * time.Second
-	attack.Workload.BurstRate = st * 1.25
-	attack.Workload.BaseRate = st * 0.70
+	attack.Workload.Load = &crayfish.LoadPolicy{
+		Process: crayfish.LoadPhased,
+		Seed:    attack.Workload.Seed,
+		Phases: []crayfish.LoadPhase{
+			{Duration: bd, Rate: st * 1.25},
+			{Duration: tbb - bd, Rate: st * 0.70},
+		},
+	}
 	attack.Workload.Duration = 18 * time.Second
 	attack.KeepSamples = true
 
@@ -89,10 +93,9 @@ func main() {
 
 	// Step 4: recovery analysis per burst (§5.1.4's metric).
 	for burst := 1; burst < 3; burst++ {
-		start := time.Duration(burst) * attack.Workload.TimeBetweenBursts
-		end := start + attack.Workload.BurstDuration
-		rec, err := core.RecoveryTime(res.Samples, res.RunStart, start, end,
-			attack.Workload.BurstDuration/10, 2)
+		start := time.Duration(burst) * tbb
+		end := start + bd
+		rec, err := core.RecoveryTime(res.Samples, res.RunStart, start, end, bd/10, 2)
 		if err != nil {
 			fmt.Printf("burst %d: %v\n", burst, err)
 			continue

@@ -81,33 +81,6 @@ func TestValidateBrokerHeadroom(t *testing.T) {
 	}
 }
 
-func TestFindSustainableRate(t *testing.T) {
-	cfg := quickConfig("flink", ServingConfig{Mode: Embedded, Tool: "onnx"})
-	r := &Runner{}
-	st, err := r.FindSustainableRate(cfg, SustainableThroughputOptions{
-		Low:           50,
-		High:          100_000,
-		ProbeDuration: 200 * time.Millisecond,
-		Tolerance:     0.5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st < 50 || st >= 100_000 {
-		t.Fatalf("sustainable rate %.1f out of plausible range", st)
-	}
-	// Validation paths.
-	if _, err := r.FindSustainableRate(cfg, SustainableThroughputOptions{Low: 10, High: 5}); err == nil {
-		t.Fatal("inverted bounds accepted")
-	}
-	// A floor above capacity must be reported.
-	if _, err := r.FindSustainableRate(cfg, SustainableThroughputOptions{
-		Low: 5e8, High: 1e9, ProbeDuration: 150 * time.Millisecond,
-	}); err == nil {
-		t.Fatal("unsustainable floor accepted")
-	}
-}
-
 func TestDatasetRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "points.crf")
 	points := []float32{1, 2, 3, 4, 5, 6}
@@ -188,7 +161,6 @@ func TestProducerFromDataset(t *testing.T) {
 	w := Workload{
 		InputShape:  []int{4},
 		BatchSize:   2,
-		InputRate:   0,
 		MaxEvents:   2,
 		Duration:    time.Second,
 		DatasetPath: path,

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"crayfish/internal/faults"
+	"crayfish/internal/loadgen"
 	"crayfish/internal/telemetry"
 )
 
@@ -13,7 +14,8 @@ import (
 func recoveryConfig(engine string, serving ServingConfig) Config {
 	cfg := quickConfig(engine, serving)
 	cfg.Workload.MaxEvents = 120
-	cfg.Workload.InputRate = 600
+	load := loadgen.Constant(600)
+	cfg.Workload.Load = &load
 	cfg.Workload.Duration = time.Second
 	return cfg
 }

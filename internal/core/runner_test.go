@@ -1,10 +1,12 @@
 package core
 
 import (
+	"path/filepath"
 	"testing"
 	"time"
 
 	"crayfish/internal/broker"
+	"crayfish/internal/loadgen"
 
 	// Register the engines under test.
 	_ "crayfish/internal/sps/flink"
@@ -15,11 +17,12 @@ import (
 
 // quickConfig is a small, fast experiment configuration.
 func quickConfig(engine string, serving ServingConfig) Config {
+	load := loadgen.Constant(400)
 	return Config{
 		Workload: Workload{
 			InputShape: []int{28, 28},
 			BatchSize:  1,
-			InputRate:  400,
+			Load:       &load,
 			Duration:   250 * time.Millisecond,
 			Seed:       1,
 		},
@@ -135,7 +138,8 @@ func TestRunOnRemoteBroker(t *testing.T) {
 	defer rc.Close()
 	r := &Runner{Transport: rc}
 	cfg := quickConfig("kafka-streams", ServingConfig{Mode: Embedded, Tool: "onnx"})
-	cfg.Workload.InputRate = 200
+	load := loadgen.Constant(200)
+	cfg.Workload.Load = &load
 	res, err := r.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -184,6 +188,54 @@ func TestRunStandalone(t *testing.T) {
 	}
 }
 
+// TestRunStandaloneHonoursLoad pins the standalone pipeline to the
+// workload's arrival schedule: a five-arrival trace yields exactly five
+// events, well inside the run's duration.
+func TestRunStandaloneHonoursLoad(t *testing.T) {
+	cfg := quickConfig("flink", ServingConfig{Mode: Embedded, Tool: "onnx"})
+	load := loadgen.Trace([]time.Duration{0, 10 * time.Millisecond, 20 * time.Millisecond, 30 * time.Millisecond, 40 * time.Millisecond})
+	cfg.Workload.Load = &load
+	cfg.Workload.Duration = 300 * time.Millisecond
+	res, err := RunStandalone(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Metrics.Produced != 5 {
+		t.Fatalf("standalone produced %d events for a 5-arrival trace", res.Metrics.Produced)
+	}
+}
+
+// TestRunStandaloneDataset checks the standalone pipeline reads and
+// validates the workload's dataset like the input producer does.
+func TestRunStandaloneDataset(t *testing.T) {
+	dir := t.TempDir()
+	cfg := quickConfig("flink", ServingConfig{Mode: Embedded, Tool: "onnx"})
+	cfg.Workload.DatasetPath = filepath.Join(dir, "missing.crf")
+	if _, err := RunStandalone(cfg); err == nil {
+		t.Fatal("missing dataset accepted")
+	}
+	short := filepath.Join(dir, "short.crf")
+	if err := WriteDataset(short, make([]float32, 2*10), 10); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Workload.DatasetPath = short
+	if _, err := RunStandalone(cfg); err == nil {
+		t.Fatal("dataset with the wrong point length accepted")
+	}
+	path := filepath.Join(dir, "points.crf")
+	if err := WriteDataset(path, make([]float32, 3*28*28), 28*28); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Workload.DatasetPath = path
+	res, err := RunStandalone(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Metrics.Consumed == 0 {
+		t.Fatal("standalone consumed nothing from the dataset")
+	}
+}
+
 func TestStandaloneLatencyBelowBrokerPipeline(t *testing.T) {
 	// Figure 13's shape: removing the broker hops lowers end-to-end
 	// latency.
@@ -191,7 +243,8 @@ func TestStandaloneLatencyBelowBrokerPipeline(t *testing.T) {
 		t.Skip("timing-sensitive")
 	}
 	cfg := quickConfig("flink", ServingConfig{Mode: Embedded, Tool: "onnx"})
-	cfg.Workload.InputRate = 100
+	load := loadgen.Constant(100)
+	cfg.Workload.Load = &load
 	cfg.Workload.Duration = 400 * time.Millisecond
 	viaBroker, err := (&Runner{}).Run(cfg)
 	if err != nil {

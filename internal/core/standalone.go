@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"crayfish/internal/loadgen"
 	"crayfish/internal/serving"
 )
 
@@ -13,8 +14,18 @@ import (
 // in-process, with no message broker between components. The same batch
 // serialisation is applied at the pipeline boundary so the comparison
 // against the Kafka-based pipeline isolates exactly the broker hops.
+// Arrivals follow the workload's Load policy and data points come from
+// its dataset, exactly as for the input producer.
 func RunStandalone(cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	dataset, err := openDataset(&cfg.Workload)
+	if err != nil {
+		return nil, err
+	}
+	sched, err := cfg.Workload.LoadPolicy().Schedule()
+	if err != nil {
 		return nil, err
 	}
 	codec := BatchCodec(JSONCodec{})
@@ -65,22 +76,24 @@ func RunStandalone(cfg Config) (*Result, error) {
 	}
 
 	gen := newDataGenerator(cfg.Workload)
-	runStart := time.Now()
+	gen.dataset = dataset
+	pacer := loadgen.NewPacer(sched, loadgen.RealClock())
+	runStart := pacer.Start()
 	deadline := runStart.Add(cfg.Workload.Duration)
 	produced := 0
-	var id int64
 	for time.Now().Before(deadline) {
 		if cfg.Workload.MaxEvents > 0 && produced >= cfg.Workload.MaxEvents {
 			break
 		}
-		if rate := cfg.Workload.InputRate; rate > 0 {
-			due := runStart.Add(time.Duration(float64(id) * float64(time.Second) / rate))
-			if wait := time.Until(due); wait > 0 {
-				time.Sleep(wait)
-			}
+		wait, _, _, ok := pacer.Tick()
+		if !ok {
+			// Trace replay exhausted its arrivals.
+			break
 		}
-		batch := gen.next(id)
-		value, err := codec.Marshal(batch)
+		if wait > 0 {
+			pacer.Sleep(wait, nil)
+		}
+		value, err := codec.Marshal(gen.next(int64(produced)))
 		if err != nil {
 			close(pipe)
 			workers.Wait()
@@ -88,7 +101,6 @@ func RunStandalone(cfg Config) (*Result, error) {
 		}
 		pipe <- item{value: value}
 		produced++
-		id++
 	}
 	close(pipe)
 	workers.Wait()

@@ -8,6 +8,7 @@ import (
 	"crayfish/internal/batching"
 	"crayfish/internal/broker"
 	"crayfish/internal/core"
+	"crayfish/internal/loadgen"
 	"crayfish/internal/model"
 	"crayfish/internal/netsim"
 	"crayfish/internal/serving/embedded"
@@ -31,7 +32,8 @@ func AblationProducerBatching(opts Options) (*Report, error) {
 	w := o.ffnnWorkload()
 	w.BatchSize = 32
 	cfg := o.baseConfig("flink", embeddedTool("onnx"), w, "ffnn", 1)
-	cfg.Workload.InputRate = 2_000
+	batched := loadgen.Constant(2_000)
+	cfg.Workload.Load = &batched
 	cfg.Workload.Duration = d
 	runner := &core.Runner{DrainTimeout: time.Millisecond}
 	res, err := runner.Run(cfg)
@@ -44,7 +46,8 @@ func AblationProducerBatching(opts Options) (*Report, error) {
 	w = o.ffnnWorkload()
 	w.BatchSize = 1
 	cfg = o.baseConfig("flink", embeddedTool("onnx"), w, "ffnn", 1)
-	cfg.Workload.InputRate = openLoopRate("ffnn")
+	perPoint := loadgen.Constant(openLoopRate("ffnn"))
+	cfg.Workload.Load = &perPoint
 	cfg.Workload.Duration = d
 	res, err = runner.Run(cfg)
 	if err != nil {
@@ -66,7 +69,8 @@ func AblationSerialization(opts Options) (*Report, error) {
 	}
 	for _, codec := range []core.BatchCodec{core.JSONCodec{}, core.BinaryCodec{}} {
 		cfg := o.baseConfig("flink", embeddedTool("onnx"), o.ffnnWorkload(), "ffnn", 1)
-		cfg.Workload.InputRate = openLoopRate("ffnn")
+		load := loadgen.Constant(openLoopRate("ffnn"))
+		cfg.Workload.Load = &load
 		cfg.Workload.Duration = o.scaled(2 * time.Second)
 		runner := &core.Runner{Codec: codec, DrainTimeout: time.Millisecond}
 		res, err := runner.Run(cfg)
@@ -93,7 +97,8 @@ func AblationTransport(opts Options) (*Report, error) {
 		cfg := o.baseConfig("flink", embeddedTool("onnx"), o.ffnnWorkload(), "ffnn", 1)
 		cfg.Network.Latency = 0
 		cfg.Network.BandwidthBytesPerSec = 0
-		cfg.Workload.InputRate = 2_000
+		load := loadgen.Constant(2_000)
+		cfg.Workload.Load = &load
 		cfg.Workload.Duration = o.scaled(2 * time.Second)
 		runner := &core.Runner{Transport: transport, DrainTimeout: 100 * time.Millisecond}
 		res, err := runner.Run(cfg)
@@ -309,7 +314,8 @@ func AblationNetworkRealism(opts Options) (*Report, error) {
 			} else {
 				name = "LAN (paper-fitted)"
 			}
-			cfg.Workload.InputRate = 100
+			load := loadgen.Constant(100)
+			cfg.Workload.Load = &load
 			cfg.Workload.Duration = o.scaled(2 * time.Second)
 			runner := &core.Runner{}
 			latRes, err := runner.Run(cfg)
@@ -346,7 +352,8 @@ func AblationDynamicBatching(opts Options) (*Report, error) {
 		cfg := o.baseConfig("flink", externalTool("tf-serving"), o.ffnnWorkload(), "ffnn", 4)
 		cfg.Batching = policy
 		cfg.Telemetry = reg
-		cfg.Workload.InputRate = 2_000
+		load := loadgen.Constant(2_000)
+		cfg.Workload.Load = &load
 		cfg.Workload.Duration = d
 		runner := &core.Runner{DrainTimeout: time.Millisecond}
 		res, err := runner.Run(cfg)

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"crayfish/internal/core"
+	"crayfish/internal/loadgen"
 	"crayfish/internal/netsim"
 	"crayfish/internal/sps"
 
@@ -253,7 +254,8 @@ func (o Options) saturateWithEngine(cfg core.Config, engine sps.Processor, d tim
 func (o Options) saturateWith(runner *core.Runner, cfg core.Config, d time.Duration) (float64, error) {
 
 	probe := cfg
-	probe.Workload.InputRate = openLoopRate(cfg.Model.Name)
+	probeLoad := loadgen.Constant(openLoopRate(cfg.Model.Name))
+	probe.Workload.Load = &probeLoad
 	probe.Workload.Duration = d / 2
 	if probe.Workload.Duration < 400*time.Millisecond {
 		probe.Workload.Duration = 400 * time.Millisecond
@@ -271,7 +273,8 @@ func (o Options) saturateWith(runner *core.Runner, cfg core.Config, d time.Durat
 		rate = nominal
 	}
 
-	cfg.Workload.InputRate = rate
+	load := loadgen.Constant(rate)
+	cfg.Workload.Load = &load
 	cfg.Workload.Duration = d
 	results, err := runner.RunAveraged(cfg, o.Runs)
 	if err != nil {
@@ -286,7 +289,8 @@ func (o Options) closedLoop(cfg core.Config, rate float64, d time.Duration) (cor
 	if minRate := 4 / d.Seconds(); rate < minRate {
 		rate = minRate
 	}
-	cfg.Workload.InputRate = rate
+	load := loadgen.Constant(rate)
+	cfg.Workload.Load = &load
 	cfg.Workload.Duration = d
 	runner := &core.Runner{}
 	results, err := runner.RunAveraged(cfg, o.Runs)

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"crayfish/internal/core"
+	"crayfish/internal/loadgen"
 )
 
 // servingTools5 is the Figure 5/6 tool set.
@@ -124,11 +125,6 @@ func Figure8BurstRecovery(opts Options) (*Report, error) {
 			return nil, fmt.Errorf("figure8 %s: ST probe: %w", serving.Tool, err)
 		}
 		w := o.ffnnWorkload()
-		w.Bursty = true
-		w.BurstDuration = bd
-		w.TimeBetweenBursts = tbb
-		w.BurstRate = st * 1.25
-		w.BaseRate = st * 0.70
 		w.Duration = total
 		cfg = o.baseConfig("flink", serving, w, "ffnn", 1)
 		cfg.KeepSamples = true
@@ -136,6 +132,11 @@ func Figure8BurstRecovery(opts Options) (*Report, error) {
 		var recs []time.Duration
 		for run := 0; run < o.Runs; run++ {
 			cfg.Workload.Seed = int64(run + 1)
+			load := loadgen.Phased(cfg.Workload.Seed,
+				loadgen.Phase{Duration: bd, Rate: st * 1.25},
+				loadgen.Phase{Duration: tbb - bd, Rate: st * 0.70},
+			)
+			cfg.Workload.Load = &load
 			res, err := runner.Run(cfg)
 			if err != nil {
 				return nil, fmt.Errorf("figure8 %s: %w", serving.Tool, err)
@@ -367,14 +368,15 @@ func Figure13KafkaOverhead(opts Options) (*Report, error) {
 	r.AddRow("kafka", fmtRate(viaTput), fmtMs(viaLat.Mean), fmtMs(viaLat.P99))
 
 	standCfg := latCfg
-	standCfg.Workload.InputRate = 0
+	standCfg.Workload.Load = nil // saturation
 	standCfg.Workload.Duration = o.scaled(3 * time.Second)
 	standTput, err := core.RunStandalone(standCfg)
 	if err != nil {
 		return nil, fmt.Errorf("figure13 no-kafka throughput: %w", err)
 	}
 	standLatCfg := latCfg
-	standLatCfg.Workload.InputRate = 20
+	standLatLoad := loadgen.Constant(20)
+	standLatCfg.Workload.Load = &standLatLoad
 	standLatCfg.Workload.Duration = o.scaled(3 * time.Second)
 	standLat, err := core.RunStandalone(standLatCfg)
 	if err != nil {

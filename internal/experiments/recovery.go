@@ -7,6 +7,7 @@ import (
 
 	"crayfish/internal/core"
 	"crayfish/internal/faults"
+	"crayfish/internal/loadgen"
 )
 
 // RecoveryFaultInjection runs the chaos scenario: a deterministic fault
@@ -46,7 +47,8 @@ func RecoveryFaultInjection(opts Options) (*Report, error) {
 		// generous backstop so a slow run (race detector, loaded CI) still
 		// produces every event the plan's sequence windows target.
 		w.Duration = d + 2*time.Second
-		w.InputRate = 2 * maxEvents / d.Seconds()
+		load := loadgen.Constant(2 * maxEvents / d.Seconds())
+		w.Load = &load
 		cfg := o.baseConfig(p.engine, p.serving, w, "ffnn", 1)
 		plan := recoveryPlan(p.serving, d)
 

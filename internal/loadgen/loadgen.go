@@ -45,8 +45,8 @@ const (
 	// production ends when the trace is exhausted.
 	ProcessTrace ProcessKind = "trace"
 	// ProcessPhased cycles through a list of phases (duration + rate +
-	// per-phase process), composing diurnal patterns and the legacy
-	// periodic-burst generator.
+	// per-phase process), composing diurnal patterns and the paper's
+	// periodic bursts.
 	ProcessPhased ProcessKind = "phased"
 	// ProcessSaturate emits with no pacing at all: the producer issues
 	// as fast as it can — the paper's saturation probes and the MLPerf
@@ -236,9 +236,8 @@ func (s *Schedule) phaseAt(off time.Duration) Phase {
 // WriteSchedule writes the first n arrivals of the policy's schedule in
 // the canonical conformance format — one "index offset_ns rate" line per
 // arrival. This is the byte-identity surface: equal policies (same seed)
-// must produce equal bytes, pinned by the loadgen conformance suite and
-// the core load-policy alias regression test. Unbounded processes emit
-// exactly n lines; a shorter trace ends early.
+// must produce equal bytes, pinned by the loadgen conformance suite.
+// Unbounded processes emit exactly n lines; a shorter trace ends early.
 func WriteSchedule(w io.Writer, p Policy, n int) error {
 	s, err := p.Schedule()
 	if err != nil {

@@ -35,13 +35,13 @@ go test -race -count=1 \
 	./internal/tensor/ ./internal/model/
 # Load-generator conformance (docs/SCENARIOS.md): arrival schedules must
 # replay byte-identically per seed, scenario verdict logic must match the
-# documented constraints, and the legacy open/closed/burst knobs must
-# alias exactly onto their Load-policy equivalents. The producer/pacer
-# path crosses goroutines, so this runs race-enabled and by name.
+# documented constraints, and the standalone pipeline must pace from the
+# same schedule. The producer/pacer path and the standalone worker pool
+# cross goroutines, so this runs race-enabled and by name.
 go test -race -count=1 \
 	-run 'TestScheduleDeterminism|TestScheduleGolden|TestScenarioVerdicts|TestPacer' \
 	./internal/loadgen/
-go test -race -count=1 -run 'TestLoadPolicyAliases|TestRunScenario' ./internal/core/
+go test -race -count=1 -run 'TestRunStandalone|TestRunScenario' ./internal/core/
 # Static-analysis self-tests (docs/STATIC_ANALYSIS.md): the CFG/dataflow
 # analyzers must match the fixture markers exactly, the directive grammar
 # must associate suppressions to the right lines, and the wave-parallel
